@@ -173,12 +173,6 @@ class MatrixPort {
   [[nodiscard]] NodeId matrix_node() const { return matrix_node_; }
 
  private:
-  std::size_t send(const Message& message) {
-    ByteWriter writer(network_->rent_buffer());
-    encode_message_into(writer, message);
-    return network_->send(self_, matrix_node_, writer.take());
-  }
-
   /// Typed fast path: no Message-variant copy per outbound call.
   template <typename Body>
   std::size_t send_body(const Body& body) {

@@ -1,1068 +1,425 @@
 #include "core/protocol.h"
 
-#include <type_traits>
+#include <algorithm>
+#include <array>
+#include <string_view>
+#include <utility>
 
 namespace matrix {
 
 namespace {
 
-// Type tags on the wire.  Order is part of the protocol; append only.
-enum class MsgType : std::uint8_t {
-  kTaggedPacket = 1,
-  kClientHello,
-  kWelcome,
-  kClientAction,
-  kServerUpdate,
-  kRedirect,
-  kClientBye,
-  kLoadReport,
-  kMapRange,
-  kShedDone,
-  kOwnerQuery,
-  kOwnerReply,
-  kAdopt,
-  kPeerLoad,
-  kReclaimRequest,
-  kReclaimDecline,
-  kReclaimDone,
-  kStateTransfer,
-  kClientStateTransfer,
-  kServerRegister,
-  kServerUnregister,
-  kOverlapTableMsg,
-  kPointLookup,
-  kPointOwner,
-  kPoolAcquire,
-  kPoolGrant,
-  kPoolDeny,
-  kPoolRelease,
-  kMcAnnounce,
-  kJoinDeny,
-  kJoinDefer,
-  kAdmissionUpdate,
-  kPoolStatus,
-  kPoolPressure,
-  kQueueUpdate,
-  kLoadDigest,
-  kAdmissionDirective,
-  kQueueHandoff,
-  kMcHeartbeat,
+constexpr std::size_t kMessageTypes = std::variant_size_v<Message>;
+
+template <std::size_t I>
+using Alternative = std::variant_alternative_t<I, Message>;
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+// ---- completeness ---------------------------------------------------------
+
+/// Counts a field list's entries, at compile time.
+struct FieldCounter {
+  template <typename... Field>
+  std::integral_constant<std::size_t, sizeof...(Field)> operator()(
+      Field&...) const {
+    return {};
+  }
 };
 
-void put(ByteWriter& w, Vec2 v) {
-  w.f64(v.x);
-  w.f64(v.y);
-}
-Vec2 get_vec2(ByteReader& r) {
-  Vec2 v;
-  v.x = r.f64();
-  v.y = r.f64();
-  return v;
-}
-
-void put(ByteWriter& w, const Rect& rect) {
-  w.f64(rect.x0());
-  w.f64(rect.y0());
-  w.f64(rect.x1());
-  w.f64(rect.y1());
-}
-Rect get_rect(ByteReader& r) {
-  const double x0 = r.f64();
-  const double y0 = r.f64();
-  const double x1 = r.f64();
-  const double y1 = r.f64();
-  return Rect(x0, y0, x1, y1);
-}
-
-void put(ByteWriter& w, const std::optional<Vec2>& v) {
-  w.u8(v.has_value() ? 1 : 0);
-  if (v) put(w, *v);
-}
-std::optional<Vec2> get_opt_vec2(ByteReader& r) {
-  if (r.u8() == 0) return std::nullopt;
-  return get_vec2(r);
-}
-
-void put(ByteWriter& w, SimTime t) { w.i64(t.us()); }
-SimTime get_time(ByteReader& r) { return SimTime::from_us(r.i64()); }
-
-// ---- per-struct bodies ----------------------------------------------------
-
-void encode_body(ByteWriter& w, const TaggedPacket& m) {
-  w.id(m.client);
-  w.id(m.entity);
-  put(w, m.origin);
-  put(w, m.target);
-  w.u8(m.radius_class);
-  w.u8(m.kind);
-  w.u32(m.seq);
-  put(w, m.client_sent_at);
-  w.u8(m.peer_forwarded ? 1 : 0);
-  w.raw(m.payload);
-}
-TaggedPacket decode_tagged_packet(ByteReader& r) {
-  TaggedPacket m;
-  m.client = r.id<ClientId>();
-  m.entity = r.id<EntityId>();
-  m.origin = get_vec2(r);
-  m.target = get_opt_vec2(r);
-  m.radius_class = r.u8();
-  m.kind = r.u8();
-  m.seq = r.u32();
-  m.client_sent_at = get_time(r);
-  m.peer_forwarded = r.u8() != 0;
-  m.payload = r.raw_payload();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ClientHello& m) {
-  w.id(m.client);
-  put(w, m.position);
-  w.u8(m.resume ? 1 : 0);
-  w.u32(m.redirect_seq);
-  w.u8(m.priority);
-}
-ClientHello decode_client_hello(ByteReader& r) {
-  ClientHello m;
-  m.client = r.id<ClientId>();
-  m.position = get_vec2(r);
-  m.resume = r.u8() != 0;
-  m.redirect_seq = r.u32();
-  m.priority = r.u8();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const Welcome& m) {
-  w.id(m.client);
-  w.id(m.avatar);
-  put(w, m.authority);
-  w.u32(m.redirect_seq);
-}
-Welcome decode_welcome(ByteReader& r) {
-  Welcome m;
-  m.client = r.id<ClientId>();
-  m.avatar = r.id<EntityId>();
-  m.authority = get_rect(r);
-  m.redirect_seq = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ClientAction& m) {
-  w.id(m.client);
-  w.u8(m.kind);
-  put(w, m.position);
-  put(w, m.target);
-  w.u32(m.seq);
-  put(w, m.sent_at);
-  w.raw(m.payload);
-}
-ClientAction decode_client_action(ByteReader& r) {
-  ClientAction m;
-  m.client = r.id<ClientId>();
-  m.kind = r.u8();
-  m.position = get_vec2(r);
-  m.target = get_opt_vec2(r);
-  m.seq = r.u32();
-  m.sent_at = get_time(r);
-  m.payload = r.raw_payload();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ServerUpdate& m) {
-  w.u8(m.kind);
-  put(w, m.position);
-  w.u32(m.ack_seq);
-  put(w, m.origin_sent_at);
-  w.raw(m.payload);
-}
-ServerUpdate decode_server_update(ByteReader& r) {
-  ServerUpdate m;
-  m.kind = r.u8();
-  m.position = get_vec2(r);
-  m.ack_seq = r.u32();
-  m.origin_sent_at = get_time(r);
-  m.payload = r.raw_payload();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const Redirect& m) {
-  w.id(m.new_game_node);
-  w.id(m.new_server);
-  w.u32(m.redirect_seq);
-}
-Redirect decode_redirect(ByteReader& r) {
-  Redirect m;
-  m.new_game_node = r.id<NodeId>();
-  m.new_server = r.id<ServerId>();
-  m.redirect_seq = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ClientBye& m) { w.id(m.client); }
-ClientBye decode_client_bye(ByteReader& r) {
-  ClientBye m;
-  m.client = r.id<ClientId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const LoadReport& m) {
-  w.u32(m.client_count);
-  w.u32(m.queue_length);
-  w.f64(m.msgs_per_sec);
-  put(w, m.median_position);
-  w.u32(m.waiting_count);
-}
-LoadReport decode_load_report(ByteReader& r) {
-  LoadReport m;
-  m.client_count = r.u32();
-  m.queue_length = r.u32();
-  m.msgs_per_sec = r.f64();
-  m.median_position = get_vec2(r);
-  m.waiting_count = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const MapRange& m) {
-  put(w, m.new_range);
-  put(w, m.shed_range);
-  w.id(m.shed_to_game);
-  w.id(m.shed_to_server);
-  w.u8(m.reclaim ? 1 : 0);
-  w.u64(m.topology_epoch);
-}
-MapRange decode_map_range(ByteReader& r) {
-  MapRange m;
-  m.new_range = get_rect(r);
-  m.shed_range = get_rect(r);
-  m.shed_to_game = r.id<NodeId>();
-  m.shed_to_server = r.id<ServerId>();
-  m.reclaim = r.u8() != 0;
-  m.topology_epoch = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ShedDone& m) {
-  w.u64(m.topology_epoch);
-  w.u32(m.clients_redirected);
-}
-ShedDone decode_shed_done(ByteReader& r) {
-  ShedDone m;
-  m.topology_epoch = r.u64();
-  m.clients_redirected = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const OwnerQuery& m) {
-  put(w, m.point);
-  w.id(m.client);
-  w.u32(m.seq);
-}
-OwnerQuery decode_owner_query(ByteReader& r) {
-  OwnerQuery m;
-  m.point = get_vec2(r);
-  m.client = r.id<ClientId>();
-  m.seq = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const OwnerReply& m) {
-  w.id(m.client);
-  w.u32(m.seq);
-  w.u8(m.found ? 1 : 0);
-  w.id(m.server);
-  w.id(m.game_node);
-}
-OwnerReply decode_owner_reply(ByteReader& r) {
-  OwnerReply m;
-  m.client = r.id<ClientId>();
-  m.seq = r.u32();
-  m.found = r.u8() != 0;
-  m.server = r.id<ServerId>();
-  m.game_node = r.id<NodeId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const Adopt& m) {
-  w.id(m.parent);
-  w.id(m.parent_matrix);
-  w.id(m.parent_game);
-  put(w, m.range);
-  w.f64(m.visibility_radius);
-  w.varint(m.extra_radii.size());
-  for (double radius : m.extra_radii) w.f64(radius);
-  w.varint(m.content_keys.size());
-  for (const auto& key : m.content_keys) w.str(key);
-  w.u64(m.topology_epoch);
-}
-Adopt decode_adopt(ByteReader& r) {
-  Adopt m;
-  m.parent = r.id<ServerId>();
-  m.parent_matrix = r.id<NodeId>();
-  m.parent_game = r.id<NodeId>();
-  m.range = get_rect(r);
-  m.visibility_radius = r.f64();
-  const std::uint64_t nr = r.varint();
-  for (std::uint64_t i = 0; i < nr && r.ok(); ++i) {
-    m.extra_radii.push_back(r.f64());
+/// Instantiating this (decltype suffices) binds as many names to a `T` as
+/// its field list has entries, which compiles only if `T` has exactly that
+/// many members.  A member missing from a list would never reach the wire
+/// yet still round-trip, as its default, so no byte-level test could see
+/// it; instead the build fails here.
+template <typename T>
+auto lists_every_member(T& m) {
+  constexpr std::size_t n = decltype(fields(
+      std::declval<FieldCounter&>(), std::declval<T&>()))::value;
+  static_assert(n <= 10, "extend lists_every_member");
+  if constexpr (n == 0) {
+    static_assert(std::is_empty_v<T>);
+  } else if constexpr (n == 1) {
+    [[maybe_unused]] auto& [a] = m;
+  } else if constexpr (n == 2) {
+    [[maybe_unused]] auto& [a, b] = m;
+  } else if constexpr (n == 3) {
+    [[maybe_unused]] auto& [a, b, c] = m;
+  } else if constexpr (n == 4) {
+    [[maybe_unused]] auto& [a, b, c, d] = m;
+  } else if constexpr (n == 5) {
+    [[maybe_unused]] auto& [a, b, c, d, e] = m;
+  } else if constexpr (n == 6) {
+    [[maybe_unused]] auto& [a, b, c, d, e, f] = m;
+  } else if constexpr (n == 7) {
+    [[maybe_unused]] auto& [a, b, c, d, e, f, g] = m;
+  } else if constexpr (n == 8) {
+    [[maybe_unused]] auto& [a, b, c, d, e, f, g, h] = m;
+  } else if constexpr (n == 9) {
+    [[maybe_unused]] auto& [a, b, c, d, e, f, g, h, i] = m;
+  } else if constexpr (n == 10) {
+    [[maybe_unused]] auto& [a, b, c, d, e, f, g, h, i, j] = m;
   }
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    m.content_keys.push_back(r.str());
+  return std::true_type{};
+}
+
+// ---- encoding -------------------------------------------------------------
+
+/// A byte sink with ByteWriter's interface that only counts, so encoding
+/// into it yields a message's exact wire size.
+struct ByteCounter {
+  std::size_t n = 0;
+
+  void u8(std::uint8_t) { n += 1; }
+  void u32(std::uint32_t) { n += 4; }
+  void u64(std::uint64_t) { n += 8; }
+  void i64(std::int64_t) { n += 8; }
+  void f64(double) { n += 8; }
+  void varint(std::uint64_t v) { n += varint_size(v); }
+  void str(std::string_view s) {
+    varint(s.size());
+    n += s.size();
   }
-  m.topology_epoch = r.u64();
-  return m;
-}
+  void raw(std::span<const std::uint8_t> bytes) {
+    varint(bytes.size());
+    n += bytes.size();
+  }
+  template <typename Tag>
+  void id(Id<Tag> v) {
+    varint(v.value());
+  }
+};
 
-void encode_body(ByteWriter& w, const PeerLoad& m) {
-  w.id(m.server);
-  w.u32(m.client_count);
-  w.u32(m.child_count);
-}
-PeerLoad decode_peer_load(ByteReader& r) {
-  PeerLoad m;
-  m.server = r.id<ServerId>();
-  m.client_count = r.u32();
-  m.child_count = r.u32();
-  return m;
-}
+/// Writes a field list into `out`, one overload per wire primitive.
+template <typename Sink>
+struct Encoder {
+  Sink& out;
 
-void encode_body(ByteWriter& w, const ReclaimRequest& m) {
-  w.u64(m.topology_epoch);
-}
-ReclaimRequest decode_reclaim_request(ByteReader& r) {
-  ReclaimRequest m;
-  m.topology_epoch = r.u64();
-  return m;
-}
+  template <typename... Field>
+  void operator()(const Field&... field) {
+    (put(field), ...);
+  }
 
-void encode_body(ByteWriter& w, const ReclaimDecline& m) {
-  w.id(m.child);
-  w.u64(m.topology_epoch);
-}
-ReclaimDecline decode_reclaim_decline(ByteReader& r) {
-  ReclaimDecline m;
-  m.child = r.id<ServerId>();
-  m.topology_epoch = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ReclaimDone& m) {
-  w.id(m.child);
-  put(w, m.range);
-  w.u64(m.topology_epoch);
-}
-ReclaimDone decode_reclaim_done(ByteReader& r) {
-  ReclaimDone m;
-  m.child = r.id<ServerId>();
-  m.range = get_rect(r);
-  m.topology_epoch = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const StateTransfer& m) {
-  w.id(m.from_server);
-  w.id(m.to_game);
-  put(w, m.range);
-  w.u32(m.object_count);
-  w.raw(m.blob);
-}
-StateTransfer decode_state_transfer(ByteReader& r) {
-  StateTransfer m;
-  m.from_server = r.id<ServerId>();
-  m.to_game = r.id<NodeId>();
-  m.range = get_rect(r);
-  m.object_count = r.u32();
-  m.blob = r.raw();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ClientStateTransfer& m) {
-  w.id(m.client);
-  w.id(m.entity);
-  w.id(m.to_game);
-  w.raw(m.blob);
-}
-ClientStateTransfer decode_client_state_transfer(ByteReader& r) {
-  ClientStateTransfer m;
-  m.client = r.id<ClientId>();
-  m.entity = r.id<EntityId>();
-  m.to_game = r.id<NodeId>();
-  m.blob = r.raw();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ServerRegister& m) {
-  w.id(m.server);
-  w.id(m.matrix_node);
-  w.id(m.game_node);
-  put(w, m.range);
-  w.varint(m.radii.size());
-  for (double radius : m.radii) w.f64(radius);
-}
-ServerRegister decode_server_register(ByteReader& r) {
-  ServerRegister m;
-  m.server = r.id<ServerId>();
-  m.matrix_node = r.id<NodeId>();
-  m.game_node = r.id<NodeId>();
-  m.range = get_rect(r);
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) m.radii.push_back(r.f64());
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ServerUnregister& m) { w.id(m.server); }
-ServerUnregister decode_server_unregister(ByteReader& r) {
-  ServerUnregister m;
-  m.server = r.id<ServerId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const OverlapTableMsg& m) {
-  w.id(m.server);
-  put(w, m.partition);
-  w.u8(m.radius_class);
-  w.f64(m.radius);
-  w.u64(m.version);
-  w.varint(m.regions.size());
-  for (const auto& region : m.regions) {
-    put(w, region.rect);
-    w.varint(region.peer_servers.size());
+  void put(bool v) { out.u8(v ? 1 : 0); }
+  void put(std::uint8_t v) { out.u8(v); }
+  void put(std::uint32_t v) { out.u32(v); }
+  void put(std::uint64_t v) { out.u64(v); }
+  void put(double v) { out.f64(v); }
+  void put(SimTime t) { out.i64(t.us()); }
+  template <typename Tag>
+  void put(Id<Tag> v) {
+    out.id(v);
+  }
+  void put(Vec2 v) {
+    put(v.x);
+    put(v.y);
+  }
+  void put(const Rect& r) {
+    put(r.lo());
+    put(r.hi());
+  }
+  void put(const std::optional<Vec2>& v) {
+    put(v.has_value());
+    if (v) put(*v);
+  }
+  void put(const PayloadBytes& bytes) { out.raw(bytes); }
+  void put(const std::vector<std::uint8_t>& bytes) { out.raw(bytes); }
+  void put(const std::string& s) { out.str(s); }
+  template <typename T>
+  void put(const std::vector<T>& items) {
+    out.varint(items.size());
+    for (const T& item : items) put(item);
+  }
+  void put(const OverlapRegionWire& region) {
+    put(region.rect);
+    out.varint(region.peer_servers.size());
     for (std::size_t i = 0; i < region.peer_servers.size(); ++i) {
-      w.id(region.peer_servers[i]);
-      w.id(region.peer_matrix_nodes[i]);
+      put(region.peer_servers[i]);
+      put(region.peer_matrix_nodes[i]);
     }
   }
-}
-OverlapTableMsg decode_overlap_table(ByteReader& r) {
-  OverlapTableMsg m;
-  m.server = r.id<ServerId>();
-  m.partition = get_rect(r);
-  m.radius_class = r.u8();
-  m.radius = r.f64();
-  m.version = r.u64();
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    OverlapRegionWire region;
-    region.rect = get_rect(r);
-    const std::uint64_t peers = r.varint();
-    for (std::uint64_t j = 0; j < peers && r.ok(); ++j) {
-      region.peer_servers.push_back(r.id<ServerId>());
-      region.peer_matrix_nodes.push_back(r.id<NodeId>());
-    }
-    m.regions.push_back(std::move(region));
+  /// A struct with a field list.  The lists take a mutable body so that
+  /// one list serves decoding too; encoding only reads through it.
+  template <typename Body>
+  void put(const Body& body) {
+    static_assert(decltype(lists_every_member(std::declval<Body&>()))());
+    fields(*this, const_cast<Body&>(body));
   }
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PointLookup& m) {
-  put(w, m.point);
-  w.u32(m.lookup_seq);
-}
-PointLookup decode_point_lookup(ByteReader& r) {
-  PointLookup m;
-  m.point = get_vec2(r);
-  m.lookup_seq = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PointOwner& m) {
-  w.u32(m.lookup_seq);
-  w.u8(m.found ? 1 : 0);
-  w.id(m.server);
-  w.id(m.matrix_node);
-  w.id(m.game_node);
-}
-PointOwner decode_point_owner(ByteReader& r) {
-  PointOwner m;
-  m.lookup_seq = r.u32();
-  m.found = r.u8() != 0;
-  m.server = r.id<ServerId>();
-  m.matrix_node = r.id<NodeId>();
-  m.game_node = r.id<NodeId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PoolAcquire& m) {
-  w.id(m.requester);
-  w.f64(m.need);
-}
-PoolAcquire decode_pool_acquire(ByteReader& r) {
-  PoolAcquire m;
-  m.requester = r.id<ServerId>();
-  m.need = r.f64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PoolGrant& m) {
-  w.id(m.server);
-  w.id(m.matrix_node);
-  w.id(m.game_node);
-}
-PoolGrant decode_pool_grant(ByteReader& r) {
-  PoolGrant m;
-  m.server = r.id<ServerId>();
-  m.matrix_node = r.id<NodeId>();
-  m.game_node = r.id<NodeId>();
-  return m;
-}
-
-void encode_body(ByteWriter&, const PoolDeny&) {}
-
-void encode_body(ByteWriter& w, const PoolRelease& m) {
-  w.id(m.server);
-  w.id(m.matrix_node);
-  w.id(m.game_node);
-}
-PoolRelease decode_pool_release(ByteReader& r) {
-  PoolRelease m;
-  m.server = r.id<ServerId>();
-  m.matrix_node = r.id<NodeId>();
-  m.game_node = r.id<NodeId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const McAnnounce& m) {
-  w.id(m.mc_node);
-  w.u64(m.generation);
-}
-McAnnounce decode_mc_announce(ByteReader& r) {
-  McAnnounce m;
-  m.mc_node = r.id<NodeId>();
-  m.generation = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const McHeartbeat& m) {
-  w.id(m.mc_node);
-  w.u64(m.generation);
-  w.u64(m.seq);
-}
-McHeartbeat decode_mc_heartbeat(ByteReader& r) {
-  McHeartbeat m;
-  m.mc_node = r.id<NodeId>();
-  m.generation = r.u64();
-  m.seq = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const JoinDeny& m) {
-  w.id(m.client);
-  put(w, m.retry_after);
-}
-JoinDeny decode_join_deny(ByteReader& r) {
-  JoinDeny m;
-  m.client = r.id<ClientId>();
-  m.retry_after = get_time(r);
-  return m;
-}
-
-void encode_body(ByteWriter& w, const JoinDefer& m) {
-  w.id(m.client);
-  put(w, m.retry_after);
-}
-JoinDefer decode_join_defer(ByteReader& r) {
-  JoinDefer m;
-  m.client = r.id<ClientId>();
-  m.retry_after = get_time(r);
-  return m;
-}
-
-void encode_body(ByteWriter& w, const AdmissionUpdate& m) {
-  w.u8(m.state);
-  w.u64(m.seq);
-}
-AdmissionUpdate decode_admission_update(ByteReader& r) {
-  AdmissionUpdate m;
-  m.state = r.u8();
-  m.seq = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PoolStatus& m) {
-  w.u32(m.idle);
-  w.u32(m.total);
-}
-PoolStatus decode_pool_status(ByteReader& r) {
-  PoolStatus m;
-  m.idle = r.u32();
-  m.total = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PoolPressure& m) {
-  w.u32(m.idle);
-  w.u32(m.total);
-}
-PoolPressure decode_pool_pressure(ByteReader& r) {
-  PoolPressure m;
-  m.idle = r.u32();
-  m.total = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const QueueUpdate& m) {
-  w.id(m.client);
-  w.u32(m.position);
-  w.u32(m.depth);
-  put(w, m.eta);
-}
-QueueUpdate decode_queue_update(ByteReader& r) {
-  QueueUpdate m;
-  m.client = r.id<ClientId>();
-  m.position = r.u32();
-  m.depth = r.u32();
-  m.eta = get_time(r);
-  return m;
-}
-
-void encode_body(ByteWriter& w, const LoadDigest& m) {
-  w.id(m.server);
-  w.u32(m.client_count);
-  w.u32(m.queue_length);
-  w.u32(m.waiting_count);
-  w.u8(m.admission_state);
-}
-LoadDigest decode_load_digest(ByteReader& r) {
-  LoadDigest m;
-  m.server = r.id<ServerId>();
-  m.client_count = r.u32();
-  m.queue_length = r.u32();
-  m.waiting_count = r.u32();
-  m.admission_state = r.u8();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const AdmissionDirective& m) {
-  w.u64(m.seq);
-  w.u8(m.floor);
-  w.u8(m.active ? 1 : 0);
-  w.f64(m.token_rate);
-  w.f64(m.pressure);
-  w.u32(m.waiting_total);
-}
-AdmissionDirective decode_admission_directive(ByteReader& r) {
-  AdmissionDirective m;
-  m.seq = r.u64();
-  m.floor = r.u8();
-  m.active = r.u8() != 0;
-  m.token_rate = r.f64();
-  m.pressure = r.f64();
-  m.waiting_total = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const QueueHandoff& m) {
-  w.id(m.from_server);
-  w.id(m.to_game);
-  w.varint(m.entries.size());
-  for (const QueueHandoffEntry& entry : m.entries) {
-    w.id(entry.client);
-    w.id(entry.client_node);
-    put(w, entry.position);
-    w.u8(entry.cls);
-    put(w, entry.enqueued_at);
-  }
-}
-QueueHandoff decode_queue_handoff(ByteReader& r) {
-  QueueHandoff m;
-  m.from_server = r.id<ServerId>();
-  m.to_game = r.id<NodeId>();
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    QueueHandoffEntry entry;
-    entry.client = r.id<ClientId>();
-    entry.client_node = r.id<NodeId>();
-    entry.position = get_vec2(r);
-    entry.cls = r.u8();
-    entry.enqueued_at = get_time(r);
-    m.entries.push_back(entry);
-  }
-  return m;
-}
-
-template <typename T>
-constexpr MsgType type_tag() {
-  if constexpr (std::is_same_v<T, TaggedPacket>) return MsgType::kTaggedPacket;
-  else if constexpr (std::is_same_v<T, ClientHello>) return MsgType::kClientHello;
-  else if constexpr (std::is_same_v<T, Welcome>) return MsgType::kWelcome;
-  else if constexpr (std::is_same_v<T, ClientAction>) return MsgType::kClientAction;
-  else if constexpr (std::is_same_v<T, ServerUpdate>) return MsgType::kServerUpdate;
-  else if constexpr (std::is_same_v<T, Redirect>) return MsgType::kRedirect;
-  else if constexpr (std::is_same_v<T, ClientBye>) return MsgType::kClientBye;
-  else if constexpr (std::is_same_v<T, LoadReport>) return MsgType::kLoadReport;
-  else if constexpr (std::is_same_v<T, MapRange>) return MsgType::kMapRange;
-  else if constexpr (std::is_same_v<T, ShedDone>) return MsgType::kShedDone;
-  else if constexpr (std::is_same_v<T, OwnerQuery>) return MsgType::kOwnerQuery;
-  else if constexpr (std::is_same_v<T, OwnerReply>) return MsgType::kOwnerReply;
-  else if constexpr (std::is_same_v<T, Adopt>) return MsgType::kAdopt;
-  else if constexpr (std::is_same_v<T, PeerLoad>) return MsgType::kPeerLoad;
-  else if constexpr (std::is_same_v<T, ReclaimRequest>) return MsgType::kReclaimRequest;
-  else if constexpr (std::is_same_v<T, ReclaimDecline>) return MsgType::kReclaimDecline;
-  else if constexpr (std::is_same_v<T, ReclaimDone>) return MsgType::kReclaimDone;
-  else if constexpr (std::is_same_v<T, StateTransfer>) return MsgType::kStateTransfer;
-  else if constexpr (std::is_same_v<T, ClientStateTransfer>) return MsgType::kClientStateTransfer;
-  else if constexpr (std::is_same_v<T, ServerRegister>) return MsgType::kServerRegister;
-  else if constexpr (std::is_same_v<T, ServerUnregister>) return MsgType::kServerUnregister;
-  else if constexpr (std::is_same_v<T, OverlapTableMsg>) return MsgType::kOverlapTableMsg;
-  else if constexpr (std::is_same_v<T, PointLookup>) return MsgType::kPointLookup;
-  else if constexpr (std::is_same_v<T, PointOwner>) return MsgType::kPointOwner;
-  else if constexpr (std::is_same_v<T, PoolAcquire>) return MsgType::kPoolAcquire;
-  else if constexpr (std::is_same_v<T, PoolGrant>) return MsgType::kPoolGrant;
-  else if constexpr (std::is_same_v<T, PoolDeny>) return MsgType::kPoolDeny;
-  else if constexpr (std::is_same_v<T, PoolRelease>) return MsgType::kPoolRelease;
-  else if constexpr (std::is_same_v<T, McAnnounce>) return MsgType::kMcAnnounce;
-  else if constexpr (std::is_same_v<T, JoinDeny>) return MsgType::kJoinDeny;
-  else if constexpr (std::is_same_v<T, JoinDefer>) return MsgType::kJoinDefer;
-  else if constexpr (std::is_same_v<T, AdmissionUpdate>) return MsgType::kAdmissionUpdate;
-  else if constexpr (std::is_same_v<T, PoolStatus>) return MsgType::kPoolStatus;
-  else if constexpr (std::is_same_v<T, PoolPressure>) return MsgType::kPoolPressure;
-  else if constexpr (std::is_same_v<T, QueueUpdate>) return MsgType::kQueueUpdate;
-  else if constexpr (std::is_same_v<T, LoadDigest>) return MsgType::kLoadDigest;
-  else if constexpr (std::is_same_v<T, AdmissionDirective>) return MsgType::kAdmissionDirective;
-  else if constexpr (std::is_same_v<T, QueueHandoff>) return MsgType::kQueueHandoff;
-  else if constexpr (std::is_same_v<T, McHeartbeat>) return MsgType::kMcHeartbeat;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_message(const Message& message) {
-  ByteWriter w;
-  encode_message_into(w, message);
-  return w.take();
-}
-
-void encode_message_into(ByteWriter& w, const Message& message) {
-  std::visit(
-      [&w](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        encode_one_into<T>(w, body);
-      },
-      message);
-}
-
-namespace {
-
-// Sized from the encode_body layouts above: fixed fields at their worst
-// varint width, plus the payload/blob for the carrying messages.  Being a
-// few bytes generous is fine (capacity, not wire size); being short costs
-// one realloc, so the high-rate messages are counted carefully.
-template <typename T>
-std::size_t body_size_hint(const T& body) {
-  (void)body;
-  if constexpr (std::is_same_v<T, TaggedPacket>) {
-          return 64 + body.payload.size();
-        } else if constexpr (std::is_same_v<T, ClientAction>) {
-          return 56 + body.payload.size();
-        } else if constexpr (std::is_same_v<T, ServerUpdate>) {
-          return 40 + body.payload.size();
-        } else if constexpr (std::is_same_v<T, LoadReport>) {
-          return 48;
-        } else if constexpr (std::is_same_v<T, QueueUpdate>) {
-          return 32;
-        } else if constexpr (std::is_same_v<T, ClientHello> ||
-                             std::is_same_v<T, LoadDigest> ||
-                             std::is_same_v<T, PeerLoad>) {
-          return 32;
-        } else if constexpr (std::is_same_v<T, Welcome> ||
-                             std::is_same_v<T, AdmissionDirective>) {
-          return 56;
-        } else if constexpr (std::is_same_v<T, StateTransfer>) {
-          return 64 + body.blob.size();
-        } else if constexpr (std::is_same_v<T, ClientStateTransfer>) {
-          return 40 + body.blob.size();
-        } else if constexpr (std::is_same_v<T, QueueHandoff>) {
-          return 24 + 48 * body.entries.size();
-        } else if constexpr (std::is_same_v<T, OverlapTableMsg>) {
-          std::size_t hint = 72;
-          for (const OverlapRegionWire& region : body.regions) {
-            hint += 48 + 20 * region.peer_servers.size();
-          }
-          return hint;
-        } else if constexpr (std::is_same_v<T, Adopt>) {
-          std::size_t hint = 80 + 10 * body.extra_radii.size();
-          for (const std::string& key : body.content_keys) {
-            hint += 10 + key.size();
-          }
-          return hint;
-        } else {
-          return 64;
-        }
-}
-
-}  // namespace
+};
 
 template <typename Body>
-void encode_one_into(ByteWriter& writer, const Body& body) {
-  writer.reserve(writer.size() + body_size_hint(body));
-  writer.u8(static_cast<std::uint8_t>(type_tag<Body>()));
-  encode_body(writer, body);
+std::size_t body_size(const Body& body) {
+  ByteCounter counter;
+  Encoder<ByteCounter>{counter}.put(body);
+  return counter.n;
 }
 
-// One instantiation per Message alternative, so the typed fast path is
-// available to every sender without pulling the encoder bodies into the
-// header.  The static_assert keeps the list in lock-step with the variant.
-#define MATRIX_MESSAGE_TYPES(X)                                              \
-  X(TaggedPacket) X(ClientHello) X(Welcome) X(ClientAction) X(ServerUpdate)  \
-  X(Redirect) X(ClientBye) X(LoadReport) X(MapRange) X(ShedDone)             \
-  X(OwnerQuery) X(OwnerReply) X(Adopt) X(PeerLoad) X(ReclaimRequest)         \
-  X(ReclaimDecline) X(ReclaimDone) X(StateTransfer) X(ClientStateTransfer)   \
-  X(ServerRegister) X(ServerUnregister) X(OverlapTableMsg) X(PointLookup)    \
-  X(PointOwner) X(PoolAcquire) X(PoolGrant) X(PoolDeny) X(PoolRelease)       \
-  X(McAnnounce) X(JoinDeny) X(JoinDefer) X(AdmissionUpdate) X(PoolStatus)    \
-  X(PoolPressure) X(QueueUpdate) X(LoadDigest) X(AdmissionDirective)         \
-  X(QueueHandoff) X(McHeartbeat)
+template <typename Body>
+void encode_erased(ByteWriter& writer, const void* erased) {
+  const Body& body = *static_cast<const Body*>(erased);
+  writer.reserve(writer.size() + 1 + body_size(body));
+  writer.u8(kWireType<Body>);
+  Encoder<ByteWriter>{writer}.put(body);
+}
 
-#define MATRIX_INSTANTIATE_ENCODE(T) \
-  template void encode_one_into<T>(ByteWriter&, const T&);
-MATRIX_MESSAGE_TYPES(MATRIX_INSTANTIATE_ENCODE)
-#undef MATRIX_INSTANTIATE_ENCODE
+// ---- decoding -------------------------------------------------------------
 
-namespace {
-#define MATRIX_COUNT_ONE(T) +1
-static_assert(std::variant_size_v<Message> ==
-                  MATRIX_MESSAGE_TYPES(MATRIX_COUNT_ONE),
-              "encode_one_into instantiations out of sync with Message");
-#undef MATRIX_COUNT_ONE
+/// Reads a field list back, in the same order and with the same primitives
+/// as Encoder.  ByteReader rejects non-canonical varints and flags; the
+/// callers reject trailing bytes.
+struct Decoder {
+  ByteReader& in;
+
+  template <typename... Field>
+  void operator()(Field&... field) {
+    (get(field), ...);
+  }
+
+  void get(bool& v) { v = in.flag(); }
+  void get(std::uint8_t& v) { v = in.u8(); }
+  void get(std::uint32_t& v) { v = in.u32(); }
+  void get(std::uint64_t& v) { v = in.u64(); }
+  void get(double& v) { v = in.f64(); }
+  void get(SimTime& t) { t = SimTime::from_us(in.i64()); }
+  template <typename Tag>
+  void get(Id<Tag>& v) {
+    v = in.id<Id<Tag>>();
+  }
+  void get(Vec2& v) {
+    get(v.x);
+    get(v.y);
+  }
+  void get(Rect& r) {
+    Vec2 lo, hi;
+    get(lo);
+    get(hi);
+    r = Rect::from_corners(lo, hi);
+  }
+  void get(std::optional<Vec2>& v) {
+    if (in.flag()) get(v.emplace());
+  }
+  void get(PayloadBytes& bytes) { bytes = in.raw_payload(); }
+  void get(std::vector<std::uint8_t>& bytes) { bytes = in.raw(); }
+  void get(std::string& s) { s = in.str(); }
+  template <typename T>
+  void get(std::vector<T>& items) {
+    for (std::uint64_t n = in.count(); n > 0 && in.ok(); --n) {
+      get(items.emplace_back());
+    }
+  }
+  void get(OverlapRegionWire& region) {
+    get(region.rect);
+    for (std::uint64_t n = in.count(); n > 0 && in.ok(); --n) {
+      get(region.peer_servers.emplace_back());
+      get(region.peer_matrix_nodes.emplace_back());
+    }
+  }
+  template <typename Body>
+  void get(Body& body) {
+    fields(*this, body);
+  }
+};
+
+/// True iff the rest of `in` is exactly one canonical `Body`, read into
+/// the default-constructed `body`.
+template <typename Body>
+bool read_body(ByteReader& in, Body& body) {
+  Decoder{in}.get(body);
+  return in.ok() && in.at_end();
+}
+
+template <typename Body>
+bool decode_erased(ByteReader& in, void* body) {
+  return read_body(in, *static_cast<Body*>(body));
+}
+
+template <std::size_t I>
+bool decode_alternative(ByteReader& in, Message& out) {
+  return read_body(in, out.emplace<I>());
+}
+
+/// Decoder for the frame views: the one payload or blob field of the body
+/// is not copied but left empty, its bytes returned as a span into the
+/// frame; and the frame offset of the field at `mark` is recorded.
+struct ViewDecoder {
+  explicit ViewDecoder(std::span<const std::uint8_t> frame,
+                       const void* mark_field = nullptr)
+      : in(frame), mark(mark_field) {}
+
+  ByteReader in;
+  const void* mark;
+  std::size_t mark_offset = 0;
+  std::span<const std::uint8_t> bytes;
+
+  /// True iff the frame is exactly the type byte plus one canonical Body.
+  template <typename Body>
+  bool read(Body& body) {
+    if (in.u8() != kWireType<Body>) return false;
+    fields(*this, body);
+    return in.ok() && in.at_end();
+  }
+
+  template <typename... Field>
+  void operator()(Field&... field) {
+    (get(field), ...);
+  }
+
+  template <typename Field>
+  void get(Field& field) {
+    if (&field == mark) mark_offset = in.pos();
+    if constexpr (std::is_same_v<Field, PayloadBytes> ||
+                  std::is_same_v<Field, std::vector<std::uint8_t>>) {
+      bytes = in.raw_span();
+    } else {
+      Decoder{in}.get(field);
+    }
+  }
+};
+
+template <typename Body>
+std::optional<FrameView<Body>> parse_payload_frame(
+    std::span<const std::uint8_t> frame) {
+  FrameView<Body> view;
+  ViewDecoder decoder(frame);
+  if (!decoder.read<Body>(view)) return std::nullopt;
+  view.payload = decoder.bytes;
+  return view;
+}
+
+template <typename Body>
+std::optional<RelayFrameView> parse_relay(std::span<const std::uint8_t> frame) {
+  Body body;
+  ViewDecoder decoder(frame);
+  if (!decoder.read<Body>(body)) return std::nullopt;
+  return RelayFrameView{kWireType<Body>, body.to_game};
+}
+
+// ---- names ----------------------------------------------------------------
+
+/// The unqualified name of `T`, cut from the compiler's signature string:
+/// "... [with T = matrix::ClientHello; ...]" (gcc) or "... [T =
+/// matrix::ClientHello]" (clang).
+template <typename T>
+constexpr std::string_view type_name() {
+  std::string_view name = __PRETTY_FUNCTION__;
+  name.remove_prefix(name.find("T = ") + 4);
+  name = name.substr(0, name.find_first_of(";]"));
+  return name.substr(name.rfind(':') + 1);
+}
+static_assert(type_name<ClientHello>() == "ClientHello");
+
+/// NUL-terminated copy of type_name<T>() for message_name.
+template <typename T>
+constexpr auto kName = [] {
+  constexpr std::string_view name = type_name<T>();
+  std::array<char, name.size() + 1> chars{};
+  std::copy(name.begin(), name.end(), chars.begin());
+  return chars;
+}();
+
+// ---- the codec table ------------------------------------------------------
+
+/// Everything the codec knows per message type, indexed by wire type - 1.
+struct WireOps {
+  void (*encode)(ByteWriter&, const void*);
+  bool (*decode)(ByteReader&, void*);
+  bool (*decode_message)(ByteReader&, Message&);
+  const char* name;
+};
+
+template <std::size_t... I>
+constexpr std::array<WireOps, kMessageTypes> make_ops(
+    std::index_sequence<I...>) {
+  return {WireOps{&encode_erased<Alternative<I>>,
+                  &decode_erased<Alternative<I>>, &decode_alternative<I>,
+                  kName<Alternative<I>>.data()}...};
+}
+constexpr std::array<WireOps, kMessageTypes> kOps =
+    make_ops(std::make_index_sequence<kMessageTypes>{});
+
 }  // namespace
-#undef MATRIX_MESSAGE_TYPES
 
-// ---- zero-copy frame fast paths -------------------------------------------
+namespace detail {
 
-static_assert(kTaggedPacketWireType ==
-              static_cast<std::uint8_t>(MsgType::kTaggedPacket));
-static_assert(kClientActionWireType ==
-              static_cast<std::uint8_t>(MsgType::kClientAction));
-static_assert(kServerUpdateWireType ==
-              static_cast<std::uint8_t>(MsgType::kServerUpdate));
-static_assert(kLoadReportWireType ==
-              static_cast<std::uint8_t>(MsgType::kLoadReport));
-static_assert(kStateTransferWireType ==
-              static_cast<std::uint8_t>(MsgType::kStateTransfer));
-static_assert(kClientStateTransferWireType ==
-              static_cast<std::uint8_t>(MsgType::kClientStateTransfer));
-static_assert(kQueueUpdateWireType ==
-              static_cast<std::uint8_t>(MsgType::kQueueUpdate));
-static_assert(kQueueHandoffWireType ==
-              static_cast<std::uint8_t>(MsgType::kQueueHandoff));
+void encode_body_into(ByteWriter& writer, std::uint8_t wire_type,
+                      const void* body) {
+  kOps[wire_type - 1].encode(writer, body);
+}
 
-TaggedPacket TaggedPacketView::materialize() const {
-  TaggedPacket packet;
-  packet.client = client;
-  packet.entity = entity;
-  packet.origin = origin;
-  packet.target = target;
-  packet.radius_class = radius_class;
-  packet.kind = kind;
-  packet.seq = seq;
-  packet.client_sent_at = client_sent_at;
-  packet.peer_forwarded = peer_forwarded;
-  packet.payload.assign(payload.data(), payload.size());
-  return packet;
+bool decode_body_from(std::span<const std::uint8_t> frame,
+                      std::uint8_t wire_type, void* body) {
+  ByteReader in(frame);
+  return in.u8() == wire_type && kOps[wire_type - 1].decode(in, body);
+}
+
+}  // namespace detail
+
+std::vector<std::uint8_t> encode_message(const Message& message) {
+  ByteWriter writer;
+  encode_message_into(writer, message);
+  return writer.take();
+}
+
+void encode_message_into(ByteWriter& writer, const Message& message) {
+  std::visit([&writer](const auto& body) { encode_one_into(writer, body); },
+             message);
+}
+
+std::size_t wire_size(const Message& message) {
+  return 1 + std::visit([](const auto& body) { return body_size(body); },
+                        message);
+}
+
+std::optional<Message> decode_message(std::span<const std::uint8_t> bytes) {
+  ByteReader in(bytes);
+  const std::uint8_t wire_type = in.u8();  // 0 when `bytes` is empty
+  if (wire_type == 0 || wire_type > kMessageTypes) return std::nullopt;
+  std::optional<Message> message(std::in_place);
+  if (!kOps[wire_type - 1].decode_message(in, *message)) return std::nullopt;
+  return message;
+}
+
+const char* message_name(const Message& message) {
+  return kOps[message.index()].name;
 }
 
 std::optional<TaggedPacketView> parse_tagged_packet_frame(
     std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kTaggedPacketWireType || !r.ok()) return std::nullopt;
   TaggedPacketView view;
-  view.client = r.id<ClientId>();
-  view.entity = r.id<EntityId>();
-  view.origin = get_vec2(r);
-  view.target = get_opt_vec2(r);
-  view.radius_class = r.u8();
-  view.kind = r.u8();
-  view.seq = r.u32();
-  view.client_sent_at = get_time(r);
-  view.peer_flag_offset = r.pos();
-  view.peer_forwarded = r.u8() != 0;
-  view.payload = r.raw_span();
-  if (!r.ok()) return std::nullopt;
+  ViewDecoder decoder(frame, &view.peer_forwarded);
+  if (!decoder.read<TaggedPacket>(view)) return std::nullopt;
+  view.payload = decoder.bytes;
+  view.peer_flag_offset = decoder.mark_offset;
   return view;
 }
 
 std::optional<ClientActionView> parse_client_action_frame(
     std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kClientActionWireType || !r.ok()) return std::nullopt;
-  ClientActionView view;
-  view.client = r.id<ClientId>();
-  view.kind = r.u8();
-  view.position = get_vec2(r);
-  view.target = get_opt_vec2(r);
-  view.seq = r.u32();
-  view.sent_at = get_time(r);
-  view.payload = r.raw_span();
-  if (!r.ok()) return std::nullopt;
-  return view;
+  return parse_payload_frame<ClientAction>(frame);
 }
 
 std::optional<ServerUpdateView> parse_server_update_frame(
     std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kServerUpdateWireType || !r.ok()) return std::nullopt;
-  ServerUpdateView view;
-  view.kind = r.u8();
-  view.position = get_vec2(r);
-  view.ack_seq = r.u32();
-  view.origin_sent_at = get_time(r);
-  view.payload = r.raw_span();
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<LoadReportView> parse_load_report_frame(
-    std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kLoadReportWireType || !r.ok()) return std::nullopt;
-  LoadReportView view;
-  view.client_count = r.u32();
-  view.queue_length = r.u32();
-  view.msgs_per_sec = r.f64();
-  view.median_position = get_vec2(r);
-  view.waiting_count = r.u32();
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<QueueUpdateView> parse_queue_update_frame(
-    std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kQueueUpdateWireType || !r.ok()) return std::nullopt;
-  QueueUpdateView view;
-  view.client = r.id<ClientId>();
-  view.position = r.u32();
-  view.depth = r.u32();
-  view.eta = get_time(r);
-  if (!r.ok()) return std::nullopt;
-  return view;
+  return parse_payload_frame<ServerUpdate>(frame);
 }
 
 std::optional<RelayFrameView> parse_relay_frame(
     std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  RelayFrameView view;
-  view.wire_type = r.u8();
-  if (!r.ok()) return std::nullopt;
-  // `to_game` sits behind 1-2 leading ids; nothing after it is read, so the
-  // relay never walks the (possibly huge) blob/entry tail.
-  switch (view.wire_type) {
-    case kStateTransferWireType:
-      r.id<ServerId>();  // from_server
-      view.to_game = r.id<NodeId>();
-      break;
-    case kClientStateTransferWireType:
-      r.id<ClientId>();  // client
-      r.id<EntityId>();  // entity
-      view.to_game = r.id<NodeId>();
-      break;
-    case kQueueHandoffWireType:
-      r.id<ServerId>();  // from_server
-      view.to_game = r.id<NodeId>();
-      break;
+  if (frame.empty()) return std::nullopt;
+  switch (frame[0]) {
+    case kWireType<StateTransfer>:
+      return parse_relay<StateTransfer>(frame);
+    case kWireType<ClientStateTransfer>:
+      return parse_relay<ClientStateTransfer>(frame);
+    case kWireType<QueueHandoff>:
+      return parse_relay<QueueHandoff>(frame);
     default:
       return std::nullopt;
   }
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<Message> decode_message(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const auto type = static_cast<MsgType>(r.u8());
-  if (!r.ok()) return std::nullopt;
-  Message m;
-  switch (type) {
-    case MsgType::kTaggedPacket: m = decode_tagged_packet(r); break;
-    case MsgType::kClientHello: m = decode_client_hello(r); break;
-    case MsgType::kWelcome: m = decode_welcome(r); break;
-    case MsgType::kClientAction: m = decode_client_action(r); break;
-    case MsgType::kServerUpdate: m = decode_server_update(r); break;
-    case MsgType::kRedirect: m = decode_redirect(r); break;
-    case MsgType::kClientBye: m = decode_client_bye(r); break;
-    case MsgType::kLoadReport: m = decode_load_report(r); break;
-    case MsgType::kMapRange: m = decode_map_range(r); break;
-    case MsgType::kShedDone: m = decode_shed_done(r); break;
-    case MsgType::kOwnerQuery: m = decode_owner_query(r); break;
-    case MsgType::kOwnerReply: m = decode_owner_reply(r); break;
-    case MsgType::kAdopt: m = decode_adopt(r); break;
-    case MsgType::kPeerLoad: m = decode_peer_load(r); break;
-    case MsgType::kReclaimRequest: m = decode_reclaim_request(r); break;
-    case MsgType::kReclaimDecline: m = decode_reclaim_decline(r); break;
-    case MsgType::kReclaimDone: m = decode_reclaim_done(r); break;
-    case MsgType::kStateTransfer: m = decode_state_transfer(r); break;
-    case MsgType::kClientStateTransfer: m = decode_client_state_transfer(r); break;
-    case MsgType::kServerRegister: m = decode_server_register(r); break;
-    case MsgType::kServerUnregister: m = decode_server_unregister(r); break;
-    case MsgType::kOverlapTableMsg: m = decode_overlap_table(r); break;
-    case MsgType::kPointLookup: m = decode_point_lookup(r); break;
-    case MsgType::kPointOwner: m = decode_point_owner(r); break;
-    case MsgType::kPoolAcquire: m = decode_pool_acquire(r); break;
-    case MsgType::kPoolGrant: m = decode_pool_grant(r); break;
-    case MsgType::kPoolDeny: m = PoolDeny{}; break;
-    case MsgType::kPoolRelease: m = decode_pool_release(r); break;
-    case MsgType::kMcAnnounce: m = decode_mc_announce(r); break;
-    case MsgType::kJoinDeny: m = decode_join_deny(r); break;
-    case MsgType::kJoinDefer: m = decode_join_defer(r); break;
-    case MsgType::kAdmissionUpdate: m = decode_admission_update(r); break;
-    case MsgType::kPoolStatus: m = decode_pool_status(r); break;
-    case MsgType::kPoolPressure: m = decode_pool_pressure(r); break;
-    case MsgType::kQueueUpdate: m = decode_queue_update(r); break;
-    case MsgType::kLoadDigest: m = decode_load_digest(r); break;
-    case MsgType::kAdmissionDirective: m = decode_admission_directive(r); break;
-    case MsgType::kQueueHandoff: m = decode_queue_handoff(r); break;
-    case MsgType::kMcHeartbeat: m = decode_mc_heartbeat(r); break;
-    default: return std::nullopt;
-  }
-  if (!r.ok()) return std::nullopt;
-  return m;
-}
-
-const char* message_name(const Message& message) {
-  return std::visit(
-      [](const auto& body) -> const char* {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, TaggedPacket>) return "TaggedPacket";
-        else if constexpr (std::is_same_v<T, ClientHello>) return "ClientHello";
-        else if constexpr (std::is_same_v<T, Welcome>) return "Welcome";
-        else if constexpr (std::is_same_v<T, ClientAction>) return "ClientAction";
-        else if constexpr (std::is_same_v<T, ServerUpdate>) return "ServerUpdate";
-        else if constexpr (std::is_same_v<T, Redirect>) return "Redirect";
-        else if constexpr (std::is_same_v<T, ClientBye>) return "ClientBye";
-        else if constexpr (std::is_same_v<T, LoadReport>) return "LoadReport";
-        else if constexpr (std::is_same_v<T, MapRange>) return "MapRange";
-        else if constexpr (std::is_same_v<T, ShedDone>) return "ShedDone";
-        else if constexpr (std::is_same_v<T, OwnerQuery>) return "OwnerQuery";
-        else if constexpr (std::is_same_v<T, OwnerReply>) return "OwnerReply";
-        else if constexpr (std::is_same_v<T, Adopt>) return "Adopt";
-        else if constexpr (std::is_same_v<T, PeerLoad>) return "PeerLoad";
-        else if constexpr (std::is_same_v<T, ReclaimRequest>) return "ReclaimRequest";
-        else if constexpr (std::is_same_v<T, ReclaimDecline>) return "ReclaimDecline";
-        else if constexpr (std::is_same_v<T, ReclaimDone>) return "ReclaimDone";
-        else if constexpr (std::is_same_v<T, StateTransfer>) return "StateTransfer";
-        else if constexpr (std::is_same_v<T, ClientStateTransfer>) return "ClientStateTransfer";
-        else if constexpr (std::is_same_v<T, ServerRegister>) return "ServerRegister";
-        else if constexpr (std::is_same_v<T, ServerUnregister>) return "ServerUnregister";
-        else if constexpr (std::is_same_v<T, OverlapTableMsg>) return "OverlapTableMsg";
-        else if constexpr (std::is_same_v<T, PointLookup>) return "PointLookup";
-        else if constexpr (std::is_same_v<T, PointOwner>) return "PointOwner";
-        else if constexpr (std::is_same_v<T, PoolAcquire>) return "PoolAcquire";
-        else if constexpr (std::is_same_v<T, PoolGrant>) return "PoolGrant";
-        else if constexpr (std::is_same_v<T, PoolDeny>) return "PoolDeny";
-        else if constexpr (std::is_same_v<T, PoolRelease>) return "PoolRelease";
-        else if constexpr (std::is_same_v<T, McAnnounce>) return "McAnnounce";
-        else if constexpr (std::is_same_v<T, JoinDeny>) return "JoinDeny";
-        else if constexpr (std::is_same_v<T, JoinDefer>) return "JoinDefer";
-        else if constexpr (std::is_same_v<T, AdmissionUpdate>) return "AdmissionUpdate";
-        else if constexpr (std::is_same_v<T, PoolStatus>) return "PoolStatus";
-        else if constexpr (std::is_same_v<T, PoolPressure>) return "PoolPressure";
-        else if constexpr (std::is_same_v<T, QueueUpdate>) return "QueueUpdate";
-        else if constexpr (std::is_same_v<T, LoadDigest>) return "LoadDigest";
-        else if constexpr (std::is_same_v<T, AdmissionDirective>) return "AdmissionDirective";
-        else if constexpr (std::is_same_v<T, QueueHandoff>) return "QueueHandoff";
-        else if constexpr (std::is_same_v<T, McHeartbeat>) return "McHeartbeat";
-        else return "Unknown";
-      },
-      message);
 }
 
 }  // namespace matrix

@@ -69,8 +69,9 @@ class ProtocolNode : public Node {
   /// Relay fast path: forwards already-encoded wire bytes verbatim (e.g. a
   /// verified peer packet handed to the co-located game server), skipping
   /// the decode→re-encode round-trip.  Byte-equivalent to re-encoding the
-  /// decoded message — encode∘decode is the identity on valid frames (the
-  /// round-trip property protocol_test pins for every message type).
+  /// decoded message: decoding is canonical, so encode∘decode is the
+  /// identity on every frame a decoder accepts (protocol_test's mutation
+  /// property pins this on hostile frames of every message type).
   std::size_t send_raw(NodeId dst, std::span<const std::uint8_t> bytes) {
     std::vector<std::uint8_t> buf = network()->rent_buffer();
     buf.assign(bytes.begin(), bytes.end());

@@ -47,42 +47,55 @@ void BotClient::leave() {
 bool BotClient::on_frame(const Envelope& envelope) {
   const std::vector<std::uint8_t>& frame = envelope.payload;
   if (frame.empty()) return false;
-  if (frame[0] == kQueueUpdateWireType) {
-    // Waiting-room ping: sent to every parked client on every drain tick, so
-    // a deep surge queue makes this the second-hottest client-bound frame.
-    // Mirrors the QueueUpdate branch of on_message exactly.
-    const auto view = parse_queue_update_frame(frame);
-    if (!view) return false;  // malformed: the generic path counts it
-    if ((!playing_ && !queued_) || connected_ || view->client != id_) {
-      return true;
-    }
-    server_node_ = envelope.src;
-    ++metrics_.queue_updates;
-    metrics_.max_queue_position =
-        std::max(metrics_.max_queue_position, view->position);
-    if (!queued_) {
-      queued_ = true;
-      playing_ = false;
-      defer_pending_ = false;
-      ++play_epoch_;  // parks the action loop
-    }
+  if (frame[0] == kServerUpdateWireType) {
+    const auto update = parse_server_update_frame(frame);
+    if (!update) return false;  // malformed: the generic path counts it
+    handle_server_update(*update);
     return true;
   }
-  if (frame[0] != kServerUpdateWireType) return false;
-  const auto view = parse_server_update_frame(frame);
-  if (!view) return false;  // malformed: the generic path counts it
-  if (!playing_) return true;
+  if (frame[0] == kWireType<QueueUpdate>) {
+    // Waiting-room ping: sent to every parked client on every drain tick, so
+    // a deep surge queue makes this the second-hottest client-bound frame.
+    const auto update = decode_frame<QueueUpdate>(frame);
+    if (!update) return false;
+    handle_queue_update(*update, envelope);
+    return true;
+  }
+  return false;
+}
+
+void BotClient::handle_server_update(const ServerUpdate& update) {
+  if (!playing_) return;
   ++metrics_.updates_received;
-  if (view->ack_seq != 0) {
-    PendingAck& slot = outstanding_[view->ack_seq % kOutstandingWindow];
-    if (slot.seq == view->ack_seq) {
+  if (update.ack_seq != 0) {
+    PendingAck& slot = outstanding_[update.ack_seq % kOutstandingWindow];
+    if (slot.seq == update.ack_seq) {
       metrics_.self_latency_ms.add((now() - slot.sent_at).ms());
       slot.seq = 0;  // consumed; a duplicate ack won't pair twice
     }
-  } else if (view->origin_sent_at.us() > 0) {
-    metrics_.observer_latency_ms.add((now() - view->origin_sent_at).ms());
+  } else if (update.origin_sent_at.us() > 0) {
+    metrics_.observer_latency_ms.add((now() - update.origin_sent_at).ms());
   }
-  return true;
+}
+
+void BotClient::handle_queue_update(const QueueUpdate& update,
+                                    const Envelope& envelope) {
+  if ((!playing_ && !queued_) || connected_ || update.client != id_) return;
+  // Parked in the server's surge queue: stop acting and wait quietly —
+  // the server owns the retry loop now and will Welcome us when a slot
+  // opens.  No timer, no retry traffic.  The queue itself can move
+  // between servers (handoff on split/merge); track whoever holds us so
+  // a leave() reaches the right waiting room.
+  server_node_ = envelope.src;
+  ++metrics_.queue_updates;
+  metrics_.max_queue_position =
+      std::max(metrics_.max_queue_position, update.position);
+  if (!queued_) {
+    queued_ = true;
+    playing_ = false;
+    defer_pending_ = false;
+    ++play_epoch_;  // parks the action loop
+  }
 }
 
 void BotClient::on_message(const Message& message, const Envelope& envelope) {
@@ -130,36 +143,11 @@ void BotClient::on_message(const Message& message, const Envelope& envelope) {
     return;
   }
   if (const auto* update = std::get_if<ServerUpdate>(&message)) {
-    if (!playing_) return;
-    ++metrics_.updates_received;
-    if (update->ack_seq != 0) {
-      PendingAck& slot = outstanding_[update->ack_seq % kOutstandingWindow];
-      if (slot.seq == update->ack_seq) {
-        metrics_.self_latency_ms.add((now() - slot.sent_at).ms());
-        slot.seq = 0;  // consumed; a duplicate ack won't pair twice
-      }
-    } else if (update->origin_sent_at.us() > 0) {
-      metrics_.observer_latency_ms.add((now() - update->origin_sent_at).ms());
-    }
+    handle_server_update(*update);
     return;
   }
   if (const auto* queue = std::get_if<QueueUpdate>(&message)) {
-    if ((!playing_ && !queued_) || connected_ || queue->client != id_) return;
-    // Parked in the server's surge queue: stop acting and wait quietly —
-    // the server owns the retry loop now and will Welcome us when a slot
-    // opens.  No timer, no retry traffic.  The queue itself can move
-    // between servers (handoff on split/merge); track whoever holds us so
-    // a leave() reaches the right waiting room.
-    server_node_ = envelope.src;
-    ++metrics_.queue_updates;
-    metrics_.max_queue_position =
-        std::max(metrics_.max_queue_position, queue->position);
-    if (!queued_) {
-      queued_ = true;
-      playing_ = false;
-      defer_pending_ = false;
-      ++play_epoch_;  // parks the action loop
-    }
+    handle_queue_update(*queue, envelope);
     return;
   }
   if (const auto* deny = std::get_if<JoinDeny>(&message)) {

@@ -111,11 +111,14 @@ class BotClient : public ProtocolNode {
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
   /// Frame fast path: ServerUpdates — the one message a bot receives at
-  /// tick rate — are handled from a zero-copy partial parse (only ack_seq
-  /// and the origin timestamp matter; the digest payload is opaque).
+  /// tick rate — are handled from a zero-copy parse (only ack_seq and the
+  /// origin timestamp matter; the digest payload is opaque), and waiting-room
+  /// QueueUpdates without the Message variant.
   bool on_frame(const Envelope& envelope) override;
 
  private:
+  void handle_server_update(const ServerUpdate& update);
+  void handle_queue_update(const QueueUpdate& update, const Envelope& envelope);
   void schedule_next_action();
   void act();
   void move(double dt_sec);

@@ -173,18 +173,10 @@ class GameServer : public ProtocolNode {
   // client traffic
   void handle_hello(const ClientHello& hello, const Envelope& envelope);
   void handle_action(const ClientAction& action, const Envelope& envelope);
-  void handle_action_core(ClientId client, std::uint8_t kind_byte,
-                          Vec2 position, const std::optional<Vec2>& target,
-                          std::uint32_t seq, SimTime sent_at,
-                          const Envelope& envelope);
   void handle_bye(const ClientBye& bye);
 
   // Matrix callbacks
   void handle_remote_packet(const TaggedPacket& packet);
-  void apply_remote_event(EntityId entity, ClientId client, Vec2 origin,
-                          const std::optional<Vec2>& target,
-                          std::uint8_t radius_class, SimTime sent_at,
-                          std::uint8_t kind);
   void handle_map_range(const MapRange& range);
   void handle_state_transfer(const StateTransfer& transfer);
   void handle_client_state(const ClientStateTransfer& transfer);

@@ -35,9 +35,8 @@ class ByteWriter {
     buf_.clear();
   }
 
-  /// Pre-sizes the buffer (the size-hinted encode paths in core/protocol
-  /// use this so common messages encode without reallocation even on a
-  /// fresh buffer).
+  /// Pre-sizes the buffer (core/protocol reserves each message's exact
+  /// wire size, so encoding never reallocates even on a fresh buffer).
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -99,7 +98,8 @@ class ByteWriter {
 
 /// Reads primitives back out of a byte buffer.  All reads are bounds-checked;
 /// a malformed buffer flips `ok()` to false and subsequent reads return
-/// zero values instead of touching out-of-range memory.
+/// zero values instead of touching out-of-range memory.  Varints and flags
+/// are accepted only in the form ByteWriter produces.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -138,20 +138,35 @@ class ByteReader {
     return v;
   }
 
+  /// LEB128 in its one canonical form: minimal length (no trailing zero
+  /// byte) and no bits beyond 64.  Anything else fails, so every accepted
+  /// varint re-encodes to the same bytes.
   std::uint64_t varint() {
     std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (!check(1) || shift > 63) {
+    for (int shift = 0;; shift += 7) {
+      if (!check(1)) return 0;
+      const std::uint8_t byte = bytes_[pos_++];
+      if ((shift > 0 && byte == 0) || (shift == 63 && byte > 1)) {
         ok_ = false;
         return 0;
       }
-      const std::uint8_t byte = bytes_[pos_++];
       v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
+      if ((byte & 0x80) == 0) return v;
     }
-    return v;
+  }
+
+  /// A bool or presence tag: the byte must be 0 or 1.
+  bool flag() {
+    const std::uint8_t byte = u8();
+    if (byte > 1) ok_ = false;
+    return byte == 1;
+  }
+
+  /// A varint element count.  Every element takes at least one byte, so a
+  /// count beyond the bytes left fails here, before anything is allocated.
+  std::uint64_t count() {
+    const std::uint64_t n = varint();
+    return check(n) ? n : 0;
   }
 
   std::string str() {
